@@ -143,21 +143,6 @@ func BenchmarkAblationNbTwoThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGlobalPick compares the paper's naive most-active scan
-// with BerkMin561's optimized strategy 3 (Remark 1).
-func BenchmarkAblationGlobalPick(b *testing.B) {
-	for _, m := range []struct {
-		name string
-		opt  bool
-	}{{"naive", false}, {"strategy3", true}} {
-		b.Run(m.name, func(b *testing.B) {
-			opt := core.DefaultOptions()
-			opt.OptimizedGlobalPick = m.opt
-			runConfigOnHardSet(b, opt)
-		})
-	}
-}
-
 // BenchmarkAblationMinimize measures learnt-clause minimization (a
 // post-BerkMin extension, off by default).
 func BenchmarkAblationMinimize(b *testing.B) {

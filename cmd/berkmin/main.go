@@ -82,7 +82,6 @@ func run() int {
 		noModel      = flag.Bool("no-model", false, "suppress the v-lines on SAT")
 		showStats    = flag.Bool("stats", false, "print search statistics to stderr")
 		proofPath    = flag.String("proof", "", "write a DRUP proof to this file")
-		strategy3    = flag.Bool("strategy3", false, "use the optimized global variable pick (BerkMin561 strategy 3)")
 		minimize     = flag.Bool("minimize", false, "enable learnt-clause minimization (extension)")
 		preprocess   = flag.Bool("simplify", true, "preprocess before solving: unit propagation, subsumption, self-subsuming resolution, variable elimination (extension)")
 		inprocess    = flag.Bool("inprocess", false, "simplify the clause database during search at restart boundaries (subsumption, strengthening, vivification; extension)")
@@ -106,7 +105,6 @@ func run() int {
 	opt.MaxConflicts = *maxConflicts
 	opt.MaxTime = *timeout
 	opt.Seed = *seed
-	opt.OptimizedGlobalPick = *strategy3
 	opt.MinimizeLearnt = *minimize
 	if *inprocess {
 		opt.EnableInprocessing()
@@ -181,7 +179,7 @@ func run() int {
 		conflicting := ""
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "config", "strategy3", "minimize", "inprocess":
+			case "config", "minimize", "inprocess":
 				conflicting = f.Name
 			}
 		})

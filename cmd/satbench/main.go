@@ -30,7 +30,7 @@ func main() {
 func run() int {
 	var (
 		table        = flag.String("table", "all", "table number 1-10, or 'all'")
-		ablation     = flag.String("ablation", "", "run an ablation instead: youngfrac, restart, aging, nbtwo, globalpick, minimize, phase, simplify, tiereddb, branching, or 'all'")
+		ablation     = flag.String("ablation", "", "run an ablation instead: youngfrac, restart, aging, nbtwo, minimize, phase, simplify, tiereddb, branching, or 'all'")
 		jobs         = flag.Int("portfolio", 0, "bench the N-job parallel portfolio against sequential BerkMin instead of a table")
 		cubeJobs     = flag.Int("cube", 0, "bench cube-and-conquer scaling (1,2,4,..,N workers vs sequential BerkMin) on the hard set, instead of a table")
 		queryStream  = flag.Int("querystream", 0, "bench a K-query assumption stream: snapshot+pool reuse vs rebuild-per-query, instead of a table")

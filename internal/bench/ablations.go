@@ -128,15 +128,6 @@ func AblationNbTwo(sc Scale, lim Limits) *Report {
 		cfgs, sc, lim, nil)
 }
 
-// AblationGlobalPick compares the naive scan with strategy 3 (Remark 1).
-func AblationGlobalPick(sc Scale, lim Limits) *Report {
-	naive := core.DefaultOptions()
-	opt := core.DefaultOptions()
-	opt.OptimizedGlobalPick = true
-	return ablationReport("Ablation — global most-active pick: naive scan vs strategy 3 (Remark 1)",
-		[]Config{{Name: "naive", Opt: naive}, {Name: "strategy3", Opt: opt}}, sc, lim, nil)
-}
-
 // AblationMinimize measures learnt-clause minimization (post-BerkMin).
 func AblationMinimize(sc Scale, lim Limits) *Report {
 	off := core.DefaultOptions()
@@ -205,29 +196,21 @@ func AblationTieredDB(sc Scale, lim Limits) *Report {
 }
 
 // AblationBranching is the ISSUE-8 branching-plane ablation: the paper's
-// BerkMin heuristic (top-clause + responsible bumping) against its own
-// strategy-3 variant, the chaff literal-counter heuristic with and without
-// the heap-backed pick, and the two modern deciders (EVSIDS, LRB) — ending
+// BerkMin heuristic (top-clause + responsible bumping) against the chaff
+// literal-counter heuristic and the two modern deciders (EVSIDS, LRB) — ending
 // at the full ModernOptions profile (tiered DB + Luby + phase saving +
 // EVSIDS). Everything but the decider is held at defaults, so the deltas
 // isolate branching.
 func AblationBranching(sc Scale, lim Limits) *Report {
-	s3 := core.DefaultOptions()
-	s3.OptimizedGlobalPick = true
-	chaffHeap := core.ChaffOptions()
-	chaffHeap.OptimizedGlobalPick = true
 	cfgs := []Config{
 		{Name: "berkmin", Opt: core.DefaultOptions()},
-		{Name: "berkmin-s3", Opt: s3},
-		{Name: "chaff-scan", Opt: core.ChaffOptions()},
-		{Name: "chaff-heap", Opt: chaffHeap},
+		{Name: "chaff", Opt: core.ChaffOptions()},
 		{Name: "evsids", Opt: core.EvsidsOptions()},
 		{Name: "lrb", Opt: core.LrbOptions()},
 		{Name: "modern", Opt: core.ModernOptions()},
 	}
 	return ablationReport("Ablation — branching heuristics: BerkMin vs EVSIDS vs LRB (extension; see README)",
 		cfgs, sc, lim, []string{
-			"chaff-heap: same heuristic as chaff-scan with the O(n) counter scan replaced by the activity heap",
 			"modern: tiered DB + Luby + phase saving + EVSIDS (ModernOptions)",
 		})
 }
@@ -253,8 +236,6 @@ func Ablation(name string, sc Scale, lim Limits) (*Report, error) {
 		return AblationAging(sc, lim), nil
 	case "nbtwo":
 		return AblationNbTwo(sc, lim), nil
-	case "globalpick":
-		return AblationGlobalPick(sc, lim), nil
 	case "minimize":
 		return AblationMinimize(sc, lim), nil
 	case "phase":
@@ -266,11 +247,11 @@ func Ablation(name string, sc Scale, lim Limits) (*Report, error) {
 	case "branching":
 		return AblationBranching(sc, lim), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown ablation %q (youngfrac, restart, aging, nbtwo, globalpick, minimize, phase, simplify, tiereddb, branching)", name)
+		return nil, fmt.Errorf("bench: unknown ablation %q (youngfrac, restart, aging, nbtwo, minimize, phase, simplify, tiereddb, branching)", name)
 	}
 }
 
 // AblationNames lists the available ablation experiments.
 func AblationNames() []string {
-	return []string{"youngfrac", "restart", "aging", "nbtwo", "globalpick", "minimize", "phase", "simplify", "tiereddb", "branching"}
+	return []string{"youngfrac", "restart", "aging", "nbtwo", "minimize", "phase", "simplify", "tiereddb", "branching"}
 }

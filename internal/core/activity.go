@@ -2,13 +2,11 @@ package core
 
 import "berkmin/internal/cnf"
 
-// bumpVar increments a variable's activity and keeps the strategy-3 heap
-// (when enabled) consistent.
+// bumpVar increments a variable's activity and keeps the variable pick
+// order consistent.
 func (d *berkminDecider) bumpVar(v cnf.Var) {
 	d.varAct[v]++
-	if d.s.opt.OptimizedGlobalPick {
-		d.order.bumped(v)
-	}
+	d.order.raise(v)
 }
 
 // decay ages the dynamic activity counters. Chaff periodically divides its
@@ -16,8 +14,8 @@ func (d *berkminDecider) bumpVar(v cnf.Var) {
 // clauses (§3); BerkMin inherits the idea for its variable activities. The
 // lit_activity counters of §7 are deliberately *not* aged: they count the
 // conflict clauses ever deduced, which is what database symmetrization
-// needs. The uniform division is order-preserving, so the activity heaps
-// stay valid without a rebuild.
+// needs. Integer division can zero counters and merge others into ties, so
+// the active pick order is restored afterwards.
 func (d *berkminDecider) decay() {
 	div := d.s.opt.AgingDivisor
 	for v := range d.varAct {
@@ -26,11 +24,12 @@ func (d *berkminDecider) decay() {
 	for l := range d.chaffAct {
 		d.chaffAct[l] /= div
 	}
+	d.order.aged()
+	d.litOrder.aged()
 }
 
 // onNewQuery fades the previous queries' influence with one extra aging
-// step: the integer counters keep their relative order (the heaps stay
-// valid) but weigh less against the coming query's bumps. QueryDecay's
-// magnitude is ignored here — BerkMin's counters age by division, so the
-// configured AgingDivisor is the natural step.
+// step: the integer counters weigh less against the coming query's bumps.
+// QueryDecay's magnitude is ignored here — BerkMin's counters age by
+// division, so the configured AgingDivisor is the natural step.
 func (d *berkminDecider) onNewQuery() { d.decay() }

@@ -174,14 +174,8 @@ func TestAssumptionsAcrossConfigs(t *testing.T) {
 		DefaultOptions, ChaffOptions, LimmatOptions,
 		LessSensitivityOptions, LessMobilityOptions, LimitedKeepingOptions,
 	}
-	extra := DefaultOptions()
-	extra.OptimizedGlobalPick = true
 	for i, preset := range presets {
-		opt := preset()
-		if i == 0 {
-			opt = extra
-		}
-		s := New(opt)
+		s := New(preset())
 		s.AddClause(cnf.NewClause(-1, -2))
 		s.AddClause(cnf.NewClause(2, 3))
 		if r := s.SolveAssuming([]cnf.Lit{cnf.PosLit(1), cnf.PosLit(2)}); r.Status != StatusUnsat {

@@ -276,30 +276,33 @@ func decideBenchSolver(opt Options, n int) *Solver {
 
 // BenchmarkDecide measures the full branching descent of every decider
 // family: one op picks variables (without propagation) until the formula is
-// fully assigned, then backtracks to level 0. chaff-scan is the paper's
-// O(nVars) literal-counter scan; chaff-heap routes the same heuristic
-// through the activity heap (Options.OptimizedGlobalPick) — the before /
-// after pair for that optimization. The heap-backed deciders must report 0
-// allocs/op at steady state.
+// fully assigned, then backtracks to level 0: one row per pick structure
+// (the BerkMin variable order, the Chaff literal order, the EVSIDS and LRB
+// heaps). The berkmin and chaff rows first give three of every four
+// variables and literals a counter from 1 to 3, so their descent pops the
+// tie-broken heap and walks the zero-counter cursor. Every row must report
+// 0 allocs/op at steady state.
 func BenchmarkDecide(b *testing.B) {
 	const n = 512
-	s3 := DefaultOptions()
-	s3.OptimizedGlobalPick = true
-	chaffHeap := ChaffOptions()
-	chaffHeap.OptimizedGlobalPick = true
 	for _, tc := range []struct {
-		name string
-		opt  Options
+		name   string
+		opt    Options
+		counts bool
 	}{
-		{"berkmin", DefaultOptions()},
-		{"berkmin-heap", s3},
-		{"chaff-scan", ChaffOptions()},
-		{"chaff-heap", chaffHeap},
-		{"evsids", EvsidsOptions()},
-		{"lrb", LrbOptions()},
+		{"berkmin", DefaultOptions(), true},
+		{"chaff", ChaffOptions(), true},
+		{"evsids", EvsidsOptions(), false},
+		{"lrb", LrbOptions(), false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := decideBenchSolver(tc.opt, n)
+			for v := 1; tc.counts && v <= n; v++ {
+				lit := []cnf.Lit{cnf.MkLit(cnf.Var(v), v%3 == 0)}
+				for k := 0; k < v%4; k++ {
+					s.dec.onAntecedent(lit)
+					s.dec.onLearnt(lit, 1)
+				}
+			}
 			descend := func() {
 				assigned := 0
 				for {

@@ -15,21 +15,18 @@ type berkminDecider struct {
 	litAct   []int64 // per literal: lit_activity, conflict clauses ever containing l (§7); never aged
 	chaffAct []int64 // per literal: Chaff VSIDS counter (aged)
 
-	// order is the strategy-3 activity heap over variables (BerkMin561
-	// Remark 1, Options.OptimizedGlobalPick) keyed by varAct.
-	order varHeap
-	// litOrder is the Chaff counterpart over literals, keyed by chaffAct:
-	// active only for DecideChaffLiteral + OptimizedGlobalPick, it replaces
-	// decideChaff's O(nVars·2) scan with a heap pop (see BenchmarkDecide's
-	// chaff-scan vs chaff-heap pair). Tie-breaking differs from the scan's
-	// lowest-literal rule, so it is opt-in rather than the chaff default.
-	litOrder actHeap[cnf.Lit, int64]
+	// order is the pick order over variables keyed by varAct; it serves the
+	// BerkMin and less-mobility global picks and is unused under Chaff.
+	order pickOrder[cnf.Var]
+	// litOrder is the Chaff counterpart over literals, keyed by chaffAct;
+	// it is armed only under DecideChaffLiteral.
+	litOrder pickOrder[cnf.Lit]
 }
 
 func newBerkminDecider(s *Solver) *berkminDecider {
 	d := &berkminDecider{s: s}
-	d.order.act = &d.varAct
-	d.litOrder.act = &d.chaffAct
+	d.order = newPickOrder[cnf.Var](&d.varAct, 0)
+	d.litOrder = newPickOrder[cnf.Lit](&d.chaffAct, 1)
 	return d
 }
 
@@ -37,21 +34,14 @@ func (d *berkminDecider) hooksAssigns() bool { return false }
 func (d *berkminDecider) onAssign(cnf.Lit)   {}
 func (d *berkminDecider) onConflict()        {}
 
-// chaffHeap reports whether the literal heap is the active pick structure.
-func (d *berkminDecider) chaffHeap() bool {
-	return d.s.opt.Decision == DecideChaffLiteral && d.s.opt.OptimizedGlobalPick
-}
-
+// onUnassign returns v to the pick order of the current decision mode.
 func (d *berkminDecider) onUnassign(v cnf.Var) {
-	if !d.s.opt.OptimizedGlobalPick {
+	if d.s.opt.Decision != DecideChaffLiteral {
+		d.order.unassigned(v)
 		return
 	}
-	if d.s.opt.Decision == DecideChaffLiteral {
-		d.litOrder.insert(cnf.PosLit(v))
-		d.litOrder.insert(cnf.NegLit(v))
-		return
-	}
-	d.order.insert(v)
+	d.litOrder.unassigned(cnf.PosLit(v))
+	d.litOrder.unassigned(cnf.NegLit(v))
 }
 
 func (d *berkminDecider) onAntecedent(lits []cnf.Lit) {
@@ -71,12 +61,9 @@ func (d *berkminDecider) onLearnt(lits []cnf.Lit, glue int) {
 		}
 	}
 	// Chaff VSIDS literal counters always follow the learnt clause.
-	ch := d.chaffHeap()
 	for _, q := range lits {
 		d.chaffAct[q]++
-		if ch {
-			d.litOrder.bumped(q)
-		}
+		d.litOrder.raise(q)
 	}
 	// lit_activity (§7): the count of conflict clauses ever containing the
 	// literal, which is what database symmetrization needs; never aged.
@@ -138,38 +125,14 @@ func (d *berkminDecider) pickGlobalMostActive() cnf.Lit {
 }
 
 // pickChaff is Chaff's VSIDS: the free literal with the largest aged
-// conflict-occurrence counter; the literal itself fixes the polarity. With
-// OptimizedGlobalPick the scan is replaced by the literal heap.
+// conflict-occurrence counter, ties to the lowest literal; the literal
+// itself fixes the polarity.
 func (d *berkminDecider) pickChaff() cnf.Lit {
-	s := d.s
-	if d.chaffHeap() {
-		for {
-			l := d.litOrder.pop()
-			if l == cnf.LitUndef {
-				return cnf.LitUndef
-			}
-			if s.assigns[l.Var()] == lUndef {
-				s.stats.GlobalDecisions++
-				return l
-			}
-		}
+	l := d.litOrder.pick(d.s.assigns)
+	if l != cnf.LitUndef {
+		d.s.stats.GlobalDecisions++
 	}
-	best := cnf.LitUndef
-	bestAct := int64(-1)
-	for v := cnf.Var(1); int(v) <= s.nVars; v++ {
-		if s.assigns[v] != lUndef {
-			continue
-		}
-		for _, l := range [2]cnf.Lit{cnf.PosLit(v), cnf.NegLit(v)} {
-			if a := d.chaffAct[l]; a > bestAct {
-				best, bestAct = l, a
-			}
-		}
-	}
-	if best != cnf.LitUndef {
-		s.stats.GlobalDecisions++
-	}
-	return best
+	return l
 }
 
 // currentTopClause returns the unsatisfied conflict clause closest to the
@@ -204,30 +167,11 @@ func (d *berkminDecider) mostActiveFreeInClause(c clauseRef) cnf.Var {
 }
 
 // mostActiveFreeVar returns the free variable with the largest var_activity
-// over the whole formula. The paper's main text uses a naive scan; BerkMin561
-// ("strategy 3", Remark 1) optimizes this — enabled by
-// Options.OptimizedGlobalPick via the activity-ordered heap.
+// over the whole formula, ties to the lowest variable. The paper's main text
+// describes a scan; BerkMin561 ("strategy 3", Remark 1) makes it a heap pop.
+// The pick order picks the same variable.
 func (d *berkminDecider) mostActiveFreeVar() cnf.Var {
-	s := d.s
-	if s.opt.OptimizedGlobalPick {
-		for {
-			v := d.order.pop()
-			if v == 0 || s.assigns[v] == lUndef {
-				return v
-			}
-		}
-	}
-	var best cnf.Var
-	bestAct := int64(-1)
-	for v := cnf.Var(1); int(v) <= s.nVars; v++ {
-		if s.assigns[v] != lUndef {
-			continue
-		}
-		if a := d.varAct[v]; a > bestAct {
-			best, bestAct = v, a
-		}
-	}
-	return best
+	return d.order.pick(d.s.assigns)
 }
 
 // savedPhase returns the phase-saving override for v, or LitUndef when
@@ -300,8 +244,8 @@ func (d *berkminDecider) litActivityPolarity(v cnf.Var) cnf.Lit {
 	return rare.Not()
 }
 
-// rebuild grows the activity arrays to n variables and registers the new
-// variables in the active pick heap.
+// rebuild grows the activity arrays to n variables and extends the active
+// pick order over the new ones.
 func (d *berkminDecider) rebuild(n int) {
 	old := len(d.varAct) - 1
 	if old < 0 {
@@ -314,47 +258,23 @@ func (d *berkminDecider) rebuild(n int) {
 		d.litAct = append(d.litAct, 0)
 		d.chaffAct = append(d.chaffAct, 0)
 	}
-	if !d.s.opt.OptimizedGlobalPick {
-		return
-	}
+	// The new elements' counters are zero and they lie past the cursor.
 	if d.s.opt.Decision == DecideChaffLiteral {
-		for v := cnf.Var(old + 1); int(v) <= n; v++ {
-			d.litOrder.insert(cnf.PosLit(v))
-			d.litOrder.insert(cnf.NegLit(v))
-		}
-		return
-	}
-	for v := cnf.Var(old + 1); int(v) <= n; v++ {
-		d.order.insert(v)
+		d.litOrder.last = cnf.NegLit(cnf.Var(n))
+	} else {
+		d.order.last = cnf.Var(n)
 	}
 }
 
-// rearmHeaps rebuilds (or tears down) the pick heaps required by the
-// current options, over the current activity values.
+// rearmHeaps refills the pick order of the current decision mode over the
+// current activity values and empties the other one.
 func (d *berkminDecider) rearmHeaps() {
-	useVarHeap := d.s.opt.OptimizedGlobalPick && d.s.opt.Decision != DecideChaffLiteral
-	useLitHeap := d.chaffHeap()
-	if useVarHeap {
-		d.order.heap = d.order.heap[:0]
-		clear(d.order.pos)
-		for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {
-			d.order.insert(v)
-		}
-	} else {
-		d.order.heap = nil
-		d.order.pos = nil
+	lastVar, lastLit := cnf.Var(d.s.nVars), cnf.LitUndef
+	if d.s.opt.Decision == DecideChaffLiteral {
+		lastVar, lastLit = 0, cnf.NegLit(lastVar)
 	}
-	if useLitHeap {
-		d.litOrder.heap = d.litOrder.heap[:0]
-		clear(d.litOrder.pos)
-		for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {
-			d.litOrder.insert(cnf.PosLit(v))
-			d.litOrder.insert(cnf.NegLit(v))
-		}
-	} else {
-		d.litOrder.heap = nil
-		d.litOrder.pos = nil
-	}
+	d.order.arm(lastVar)
+	d.litOrder.arm(lastLit)
 }
 
 func (d *berkminDecider) reset() {
@@ -375,8 +295,8 @@ func (d *berkminDecider) clone(ns *Solver) decider {
 	}
 	// The heaps key themselves through a pointer to the activity array;
 	// they must point at the clone's copy, not the original's.
-	c.order = cloneHeap(&d.order, &c.varAct)
-	c.litOrder = cloneHeap(&d.litOrder, &c.chaffAct)
+	c.order = d.order.clone(&c.varAct)
+	c.litOrder = d.litOrder.clone(&c.chaffAct)
 	return c
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"berkmin/internal/cnf"
 )
@@ -10,6 +11,19 @@ import (
 // bm returns the solver's installed decider as the legacy berkminDecider;
 // the tests below drive its activity arrays and picking rules directly.
 func bm(s *Solver) *berkminDecider { return s.dec.(*berkminDecider) }
+
+// setVarAct writes a variable's var_activity and re-arms the pick order, so
+// the global pick sees the value as if the decider had bumped it there.
+func setVarAct(s *Solver, v cnf.Var, a int64) {
+	bm(s).varAct[v] = a
+	bm(s).rearmHeaps()
+}
+
+// setChaffAct is setVarAct for a Chaff literal counter.
+func setChaffAct(s *Solver, l cnf.Lit, a int64) {
+	bm(s).chaffAct[l] = a
+	bm(s).rearmHeaps()
+}
 
 // addLearnt allocates a learnt clause in the arena and pushes it on the
 // conflict-clause stack without attaching watches (decision-heuristic
@@ -65,7 +79,7 @@ func TestAllLearntsSatisfiedFallsBackToGlobal(t *testing.T) {
 	addLearnt(s, cnf.PosLit(1), cnf.PosLit(2))
 	s.newDecisionLevel()
 	s.enqueue(cnf.PosLit(1), refUndef)
-	bm(s).varAct[3] = 7
+	setVarAct(s, 3, 7)
 	if c, _ := s.currentTopClause(); c != refUndef {
 		t.Fatal("no unsatisfied learnt expected")
 	}
@@ -308,8 +322,8 @@ func TestNbTwoThresholdStops(t *testing.T) {
 func TestChaffDecisionPicksMaxLiteral(t *testing.T) {
 	s := New(ChaffOptions())
 	s.ensureVars(3)
-	bm(s).chaffAct[cnf.NegLit(2)] = 10
-	bm(s).chaffAct[cnf.PosLit(3)] = 7
+	setChaffAct(s, cnf.NegLit(2), 10)
+	setChaffAct(s, cnf.PosLit(3), 7)
 	if l := bm(s).pickChaff(); l != cnf.NegLit(2) {
 		t.Fatalf("chaff decision = %v, want ¬x2", l)
 	}
@@ -352,31 +366,155 @@ func TestSkinHistogramDistance(t *testing.T) {
 	}
 }
 
-// TestStrategy3MatchesNaive cross-checks the optimized heap pick against
-// the naive scan on identical activity profiles.
-func TestStrategy3MatchesNaive(t *testing.T) {
-	naive := New(DefaultOptions())
-	opt3 := func() *Solver {
-		o := DefaultOptions()
-		o.OptimizedGlobalPick = true
-		return New(o)
-	}()
-	naive.ensureVars(10)
-	opt3.ensureVars(10)
-	acts := []int64{0, 3, 9, 1, 9, 2, 0, 7, 4, 9, 5}
-	for v := 1; v <= 10; v++ {
-		bm(naive).varAct[v] = acts[v]
-		bm(opt3).varAct[v] = acts[v]
-		for i := int64(0); i < acts[v]; i++ {
-			bm(opt3).order.bumped(cnf.Var(v))
+// scanMostActiveVar is the paper's global pick written as the plain scan
+// over all variables: the first free variable of maximal var_activity,
+// i.e. the lowest one on a tie. It is the reference the pick order must match.
+func scanMostActiveVar(d *berkminDecider) cnf.Var {
+	var best cnf.Var
+	bestAct := int64(-1)
+	for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {
+		if d.s.assigns[v] == lUndef && d.varAct[v] > bestAct {
+			best, bestAct = v, d.varAct[v]
 		}
 	}
-	// The heap may pop any of the maximally active vars; both must report
-	// an activity-9 variable.
-	nv := bm(naive).mostActiveFreeVar()
-	ov := bm(opt3).mostActiveFreeVar()
-	if bm(naive).varAct[nv] != 9 || bm(opt3).varAct[ov] != 9 {
-		t.Fatalf("naive=%d(%d) opt=%d(%d)", nv, bm(naive).varAct[nv], ov, bm(opt3).varAct[ov])
+	return best
+}
+
+// scanChaffLit is the reference Chaff pick: the first free literal of
+// maximal chaffAct, scanning x before ¬x for each variable in order.
+func scanChaffLit(d *berkminDecider) cnf.Lit {
+	best := cnf.LitUndef
+	bestAct := int64(-1)
+	for v := cnf.Var(1); int(v) <= d.s.nVars; v++ {
+		if d.s.assigns[v] != lUndef {
+			continue
+		}
+		for _, l := range [2]cnf.Lit{cnf.PosLit(v), cnf.NegLit(v)} {
+			if d.chaffAct[l] > bestAct {
+				best, bestAct = l, d.chaffAct[l]
+			}
+		}
+	}
+	return best
+}
+
+// scanPick is the reference pick of the current decision mode, as a
+// literal (the positive one for a variable pick).
+func scanPick(d *berkminDecider) cnf.Lit {
+	if d.s.opt.Decision == DecideChaffLiteral {
+		return scanChaffLit(d)
+	}
+	if v := scanMostActiveVar(d); v != 0 {
+		return cnf.PosLit(v)
+	}
+	return cnf.LitUndef
+}
+
+// orderPick returns what the active pick order would decide on now and
+// leaves the search state as it found it: a pick consumes its answer, so
+// the answer is put back (the assigned entries it popped on the way are
+// re-inserted by onUnassign when they are unassigned, as in a real search),
+// and the decision counter is restored.
+func orderPick(d *berkminDecider) cnf.Lit {
+	defer func(n uint64) { d.s.stats.GlobalDecisions = n }(d.s.stats.GlobalDecisions)
+	if d.s.opt.Decision == DecideChaffLiteral {
+		l := d.pickChaff()
+		if l != cnf.LitUndef {
+			d.litOrder.unassigned(l)
+		}
+		return l
+	}
+	v := d.mostActiveFreeVar()
+	if v == 0 {
+		return cnf.LitUndef
+	}
+	d.order.unassigned(v)
+	return cnf.PosLit(v)
+}
+
+// TestHeapPickMatchesScan drives random sequences of bumps, aging steps
+// (with a small divisor, so they merge counters into ties), assignments,
+// backtracks, Reset, Clone and Reconfigure between the three legacy
+// decision modes, and checks after every step that the active pick order
+// picks exactly what the reference scan picks.
+func TestHeapPickMatchesScan(t *testing.T) {
+	presets := []func() Options{DefaultOptions, LessMobilityOptions, ChaffOptions}
+	rng := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 100; iter++ {
+		const n = 24
+		// Runs differ in how often they bump: a run that rarely bumps keeps
+		// most counters at zero, so its picks come from the cursor.
+		bumpRate := rng.Intn(8)
+		s := New(presets[rng.Intn(len(presets))]())
+		s.ensureVars(n)
+		randLits := func() []cnf.Lit {
+			lits := make([]cnf.Lit, 1+rng.Intn(4))
+			for i := range lits {
+				lits[i] = cnf.MkLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0)
+			}
+			return lits
+		}
+		for step := 0; step < 300; step++ {
+			d := bm(s)
+			switch op := rng.Intn(20); {
+			case op < bumpRate:
+				lits := randLits()
+				d.onAntecedent(lits)
+				d.onLearnt(lits, len(lits))
+			case op < 10:
+				s.opt.AgingDivisor = int64(2 + rng.Intn(3))
+				d.decay()
+			case op < 15:
+				var free []cnf.Var
+				for v := cnf.Var(1); v <= n; v++ {
+					if s.assigns[v] == lUndef {
+						free = append(free, v)
+					}
+				}
+				if len(free) > 0 {
+					v := free[rng.Intn(len(free))]
+					s.newDecisionLevel()
+					s.enqueue(cnf.MkLit(v, rng.Intn(2) == 0), refUndef)
+				}
+			case op < 17:
+				s.cancelUntil(rng.Intn(s.decisionLevel() + 1))
+			case op == 17:
+				s.Reset()
+			case op == 18:
+				s = s.Clone()
+			default:
+				s.cancelUntil(0)
+				opt := presets[rng.Intn(len(presets))]()
+				opt.AgingDivisor = s.opt.AgingDivisor
+				s.Reconfigure(opt)
+			}
+			d = bm(s)
+			if got, want := orderPick(d), scanPick(d); got != want {
+				t.Fatalf("iter %d step %d (decision %v): order picks %v, scan picks %v",
+					iter, step, s.opt.Decision, got, want)
+			}
+		}
+	}
+}
+
+// TestPickOrderCursorAfterAging: a variable the zero-counter cursor passed
+// while it was assigned, then bumped, unassigned and aged back to zero,
+// must be picked again, ahead of the variable the cursor stopped at.
+func TestPickOrderCursorAfterAging(t *testing.T) {
+	s := New(DefaultOptions())
+	s.ensureVars(3)
+	d := bm(s)
+	s.newDecisionLevel()
+	s.enqueue(cnf.PosLit(1), refUndef)
+	if got := orderPick(d); got != cnf.PosLit(2) {
+		t.Fatalf("pick with x1 assigned = %v, want x2", got)
+	}
+	d.onAntecedent([]cnf.Lit{cnf.PosLit(1)})
+	s.cancelUntil(0)
+	s.opt.AgingDivisor = 2
+	d.decay()
+	if got, want := orderPick(d), scanPick(d); got != want || want != cnf.PosLit(1) {
+		t.Fatalf("pick after aging = %v, scan picks %v, want x1", got, want)
 	}
 }
 
@@ -390,7 +528,7 @@ func TestPhaseColdStartFallsBackToNbTwo(t *testing.T) {
 	s := New(o)
 	s.AddClause(cnf.NewClause(1, 2))
 	s.AddClause(cnf.NewClause(1, 3))
-	bm(s).varAct[1] = 100 // make x1 the global pick
+	setVarAct(s, 1, 100) // make x1 the global pick
 	if got := s.decide(); got != cnf.NegLit(1) {
 		t.Fatalf("cold-start decision = %v, want %v (nb_two fallback)", got, cnf.NegLit(1))
 	}
@@ -405,7 +543,7 @@ func TestPhaseSavingRepicksAfterRestart(t *testing.T) {
 	s := New(o)
 	s.AddClause(cnf.NewClause(1, 2))
 	s.AddClause(cnf.NewClause(1, 3))
-	bm(s).varAct[1] = 100
+	setVarAct(s, 1, 100)
 	// Assign x1 = true — the opposite of the nb_two cold-start choice — so
 	// the re-pick below can only come from the saved phase.
 	s.newDecisionLevel()
@@ -420,7 +558,10 @@ func TestPhaseSavingRepicksAfterRestart(t *testing.T) {
 	if got := s.decide(); got != cnf.PosLit(1) {
 		t.Fatalf("post-restart decision = %v, want saved phase %v", got, cnf.PosLit(1))
 	}
-	// The same state without phase saving keeps the nb_two choice.
+	// The same state without phase saving keeps the nb_two choice. The
+	// pick above took x1 out of the pick order without assigning it; put
+	// it back.
+	bm(s).onUnassign(1)
 	s.opt.PhaseSaving = false
 	if got := s.decide(); got != cnf.NegLit(1) {
 		t.Fatalf("phase saving off: decision = %v, want %v", got, cnf.NegLit(1))
@@ -436,7 +577,7 @@ func TestPhaseSavingTopClauseDecision(t *testing.T) {
 	s.AddClause(cnf.NewClause(1, 2, 3))
 	// An unsatisfied learnt clause makes (x4 ∨ x5) the current top clause.
 	c := mkLearnt(s, 4, 2, 0)
-	bm(s).varAct[4] = 50
+	setVarAct(s, 4, 50)
 	// Saved phase: x4 was last false.
 	s.phase[4] = lFalse
 	if top, _ := s.currentTopClause(); top != c {
@@ -444,5 +585,43 @@ func TestPhaseSavingTopClauseDecision(t *testing.T) {
 	}
 	if got := s.decide(); got != cnf.NegLit(4) {
 		t.Fatalf("top-clause decision = %v, want saved phase %v", got, cnf.NegLit(4))
+	}
+}
+
+// TestWideInputSolvesFast: a formula that declares many variables and
+// constrains one (`p cnf 100000 1` / `1 0`, 19 bytes of DIMACS) costs a
+// heap pop or a cursor step per decision under every preset. A pick that
+// scanned every variable would make the descent quadratic — about 15s on a
+// 2-vCPU x86-64 box — and run into the budget, which leaves the solve
+// Unknown.
+func TestWideInputSolvesFast(t *testing.T) {
+	const n = 100000
+	presets := map[string]func() Options{
+		"default":          DefaultOptions,
+		"less-sensitivity": LessSensitivityOptions,
+		"less-mobility":    LessMobilityOptions,
+		"limited-keeping":  LimitedKeepingOptions,
+		"chaff":            ChaffOptions,
+		"limmat":           LimmatOptions,
+		"tiered":           TieredOptions,
+		"evsids":           EvsidsOptions,
+		"lrb":              LrbOptions,
+		"modern":           ModernOptions,
+	}
+	f := cnf.New(n).Add(cnf.NewClause(1))
+	for name, preset := range presets {
+		t.Run(name, func(t *testing.T) {
+			opt := preset()
+			opt.MaxTime = 5 * time.Second
+			s := New(opt)
+			s.AddFormula(f)
+			r := s.Solve()
+			if r.Status != StatusSat {
+				t.Fatalf("status = %v (stop %v) after %v", r.Status, r.Stop, r.Stats.Runtime)
+			}
+			if len(r.Model) != n+1 || !r.Model[1] {
+				t.Fatal("model does not set x1")
+			}
+		})
 	}
 }

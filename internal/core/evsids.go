@@ -12,9 +12,9 @@ import "berkmin/internal/cnf"
 // float64 and are rescaled by 1e-100 when they threaten overflow (the
 // rescale is uniform and monotone, so the pick heap survives it).
 //
-// Variable selection is always heap-based (there is no naive-scan variant;
-// OptimizedGlobalPick is implied). Polarity falls back to the solver's
-// shared rule: saved phase when enabled, else the §7 nb_two cost function.
+// Variable selection is heap-based, like every decider's. Polarity falls
+// back to the solver's shared rule: saved phase when enabled, else the §7
+// nb_two cost function.
 type evsidsDecider struct {
 	s     *Solver
 	act   []float64 // per variable: exponentially weighted activity

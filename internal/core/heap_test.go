@@ -11,7 +11,7 @@ import (
 // TestVarHeapBasics: insert, pop order, duplicate insert.
 func TestVarHeapBasics(t *testing.T) {
 	act := []int64{0, 5, 9, 1, 9}
-	h := varHeap{act: &act}
+	h := actHeap[cnf.Var, int64]{act: &act}
 	for v := cnf.Var(1); v <= 4; v++ {
 		h.insert(v)
 	}
@@ -38,7 +38,7 @@ func TestVarHeapBasics(t *testing.T) {
 // TestVarHeapBumped: raising a key restores order.
 func TestVarHeapBumped(t *testing.T) {
 	act := []int64{0, 1, 2, 3}
-	h := varHeap{act: &act}
+	h := actHeap[cnf.Var, int64]{act: &act}
 	for v := cnf.Var(1); v <= 3; v++ {
 		h.insert(v)
 	}
@@ -50,13 +50,14 @@ func TestVarHeapBumped(t *testing.T) {
 }
 
 // TestVarHeapAgainstReference drives random operation sequences and
-// compares pop order with a linear-scan reference.
+// compares pop order with a linear-scan reference; with byIndex the pop
+// must be exactly the reference's lowest maximally active variable.
 func TestVarHeapAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 100; iter++ {
 		n := 2 + rng.Intn(30)
 		act := make([]int64, n+1)
-		h := varHeap{act: &act}
+		h := actHeap[cnf.Var, int64]{act: &act, byIndex: iter%2 == 1}
 		present := map[cnf.Var]bool{}
 		for v := cnf.Var(1); int(v) <= n; v++ {
 			h.insert(v)
@@ -76,18 +77,19 @@ func TestVarHeapAgainstReference(t *testing.T) {
 				if len(present) == 0 {
 					continue
 				}
+				var want cnf.Var
 				var wantAct int64 = -1
 				for v := range present {
-					if act[v] > wantAct {
-						wantAct = act[v]
+					if act[v] > wantAct || (act[v] == wantAct && v < want) {
+						want, wantAct = v, act[v]
 					}
 				}
 				got := h.pop()
 				if got == 0 {
 					t.Fatal("heap empty while reference is not")
 				}
-				if act[got] != wantAct {
-					t.Fatalf("pop activity %d, reference max %d", act[got], wantAct)
+				if act[got] != wantAct || (h.byIndex && got != want) {
+					t.Fatalf("pop %d (activity %d), reference %d (activity %d)", got, act[got], want, wantAct)
 				}
 				delete(present, got)
 			}

@@ -23,7 +23,9 @@ import (
 //     watcher's literal really occurs in its clause's watched slots, and
 //     Stats.BinClauses equals the binary-tier walk;
 //   - every assigned variable's reason ref is live, and refBin reasons
-//     carry a real implying literal.
+//     carry a real implying literal;
+//   - the BerkMin decider's pick order picks exactly what the paper's
+//     scan picks.
 func checkInvariants(t testing.TB, s *Solver) {
 	t.Helper()
 	if !s.ok {
@@ -121,6 +123,12 @@ func checkInvariants(t testing.TB, s *Solver) {
 			if s.ca.deleted(r) {
 				t.Fatalf("invariant: x%d's reason clause %d is tombstoned", v, r)
 			}
+		}
+	}
+
+	if d, ok := s.dec.(*berkminDecider); ok {
+		if got, want := orderPick(d), scanPick(d); got != want {
+			t.Fatalf("invariant: the pick order picks %v, the scan %v", got, want)
 		}
 	}
 }

@@ -112,11 +112,10 @@ const (
 // and override fields as needed.
 type Options struct {
 	// Decision making.
-	Decision            DecisionMode
-	Polarity            PolarityMode
-	Sensitivity         SensitivityMode
-	NbTwoThreshold      int  // stop computing nb_two above this value (§7; 100)
-	OptimizedGlobalPick bool // strategy 3 of BerkMin561 (Remark 1): heap-based global pick
+	Decision       DecisionMode
+	Polarity       PolarityMode
+	Sensitivity    SensitivityMode
+	NbTwoThreshold int // stop computing nb_two above this value (§7; 100)
 
 	// Activity aging (Chaff's "aging" of counters, inherited by BerkMin).
 	// DecideEvsids and DecideLrb have their own decay schedules and ignore

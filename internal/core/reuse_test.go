@@ -83,7 +83,6 @@ func sliceShares[T any](a, b []T) bool {
 // — is backed by memory disjoint from the original's.
 func TestCloneSharesNoMutableState(t *testing.T) {
 	o := churnOptions()
-	o.OptimizedGlobalPick = true
 	o.RestartPostpone = true
 	o.MaxConflicts = 60
 	s := New(o)
@@ -110,10 +109,10 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 		sliceShares(cd.litAct, sd.litAct) || sliceShares(cd.chaffAct, sd.chaffAct) {
 		t.Fatal("clone shares a decider activity array")
 	}
-	if sliceShares(cd.order.heap, sd.order.heap) || sliceShares(cd.order.pos, sd.order.pos) {
+	if sliceShares(cd.order.heap.heap, sd.order.heap.heap) || sliceShares(cd.order.heap.pos, sd.order.heap.pos) {
 		t.Fatal("clone shares the decision heap")
 	}
-	if cd.order.act != &cd.varAct {
+	if cd.order.heap.act != &cd.varAct {
 		t.Fatal("clone's heap is keyed by someone else's activities")
 	}
 	if c.dec == s.dec {
@@ -248,7 +247,6 @@ func TestReconfigure(t *testing.T) {
 
 	for _, opt := range []Options{
 		TieredOptions(), ChaffOptions(), LimmatOptions(),
-		func() Options { o := DefaultOptions(); o.OptimizedGlobalPick = true; return o }(),
 		func() Options { o := TieredOptions(); o.RestartPostpone = true; return o }(),
 	} {
 		opt.Seed = 42

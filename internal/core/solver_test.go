@@ -226,10 +226,26 @@ func TestCrossValidateMinimize(t *testing.T) {
 	o.MinimizeLearnt = true
 	crossValidate(t, "minimize", o, 300)
 }
+
+// TestCrossValidateOptimizedPick stresses the optimized global pick (the
+// pick order every legacy config decides with) where it is hardest to keep
+// ordered: aging after every conflict with divisor 2 zeroes counters and
+// merges others into ties, so the order is restored between almost every
+// pair of picks.
 func TestCrossValidateOptimizedPick(t *testing.T) {
-	o := DefaultOptions()
-	o.OptimizedGlobalPick = true
-	crossValidate(t, "strategy3", o, 300)
+	for _, preset := range []struct {
+		name string
+		opt  func() Options
+	}{
+		{"heap-aging/berkmin", DefaultOptions},
+		{"heap-aging/less-mobility", LessMobilityOptions},
+		{"heap-aging/chaff", ChaffOptions},
+	} {
+		o := preset.opt()
+		o.AgingPeriod = 1
+		o.AgingDivisor = 2
+		crossValidate(t, preset.name, o, 300)
+	}
 }
 func TestCrossValidatePhaseSaving(t *testing.T) {
 	o := DefaultOptions()

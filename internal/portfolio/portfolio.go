@@ -108,8 +108,6 @@ func Variants(n int, baseSeed uint64) []Config {
 		{"chaff", core.ChaffOptions()},
 		{"limmat", core.LimmatOptions()},
 		{"berkmin-luby", lubyOptions()},
-		{"tiered-s3", tieredStrategy3Options()},
-		{"berkmin-s3", strategy3Options()},
 		{"berkmin-rand", core.BranchOptions(core.PolarityTakeRand)},
 		{"chaff-phase", chaffPhaseOptions()},
 		{"berkmin-geo", geometricOptions()},
@@ -131,18 +129,6 @@ func lubyOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Restart = core.RestartLuby
 	o.RestartFirst = 100
-	return o
-}
-
-func strategy3Options() core.Options {
-	o := core.DefaultOptions()
-	o.OptimizedGlobalPick = true
-	return o
-}
-
-func tieredStrategy3Options() core.Options {
-	o := core.TieredOptions()
-	o.OptimizedGlobalPick = true
 	return o
 }
 

@@ -2,7 +2,10 @@ package berkmin_test
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"berkmin"
 )
@@ -260,5 +263,31 @@ func TestSetSimplifyRuntimeEndToEnd(t *testing.T) {
 	}
 	if got := s.Stats().Runtime; got != r.Stats.Runtime {
 		t.Fatalf("Stats().Runtime = %v, Result.Stats.Runtime = %v — views disagree", got, r.Stats.Runtime)
+	}
+}
+
+// TestWideInputSimplifiedSolvesFast solves the 19-byte `p cnf 100000 1` /
+// `1 0` the way the serving daemon does: berkmin.New with preprocessing on.
+// Simplification settles x1 and leaves 99,999 free variables to decide; at
+// one heap pop or cursor step per decision that is well inside the budget.
+func TestWideInputSimplifiedSolvesFast(t *testing.T) {
+	f, err := berkmin.ReadDimacs(strings.NewReader("p cnf 100000 1\n1 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := berkmin.New()
+	so := berkmin.DefaultSimplifyOptions()
+	s.SetSimplify(&so)
+	if err := s.AddFormula(f); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	r, err := s.SolveContext(ctx)
+	if err != nil || r.Status != berkmin.StatusSat {
+		t.Fatalf("status = %v, err = %v", r.Status, err)
+	}
+	if !r.Model[1] {
+		t.Fatal("model does not set x1")
 	}
 }
