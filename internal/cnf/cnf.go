@@ -10,7 +10,7 @@ package cnf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -165,7 +165,7 @@ func (c Clause) Normalize() (Clause, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	slices.Sort(c)
 	out := c[:1]
 	for _, l := range c[1:] {
 		last := out[len(out)-1]

@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,63 @@ func TestNormalizeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceNormalize is Normalize spelled out independently: an insertion
+// sort, then one pass that drops repeats and flags a literal whose
+// complement is also present. For a tautology only the flag counts:
+// Normalize hands back its half-deduplicated receiver.
+func referenceNormalize(c Clause) (Clause, bool) {
+	sorted := c.Clone()
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	present := map[Lit]bool{}
+	for _, l := range sorted {
+		present[l] = true
+	}
+	var out Clause
+	for i, l := range sorted {
+		if present[l.Not()] {
+			return nil, true
+		}
+		if i == 0 || l != sorted[i-1] {
+			out = append(out, l)
+		}
+	}
+	return out, false
+}
+
+// TestNormalizeMatchesReference draws clauses over a few variables, so
+// duplicates and complementary pairs are common, and checks Normalize
+// against the reference: the same flag, and for a clause that is not a
+// tautology the same literals, written into the receiver.
+func TestNormalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	taut := 0
+	for iter := 0; iter < 5000; iter++ {
+		c := make(Clause, rng.Intn(9))
+		for i := range c {
+			c[i] = MkLit(Var(rng.Intn(6)+1), rng.Intn(2) == 0)
+		}
+		orig := c.Clone()
+		want, wantTaut := referenceNormalize(c)
+		got, gotTaut := c.Normalize()
+		if gotTaut != wantTaut || (!gotTaut && !slices.Equal(got, want)) {
+			t.Fatalf("Normalize(%v) = %v, %v; reference %v, %v", orig, got, gotTaut, want, wantTaut)
+		}
+		if len(got) > 0 && &got[0] != &c[0] {
+			t.Fatalf("Normalize(%v) does not share the receiver's backing array", c)
+		}
+		if gotTaut {
+			taut++
+		}
+	}
+	if taut == 0 || taut == 5000 {
+		t.Fatalf("%d of 5000 clauses were tautologies: the draw misses a case", taut)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 //     Stats.BinClauses equals the binary-tier walk;
 //   - every assigned variable's reason ref is live, and refBin reasons
 //     carry a real implying literal;
+//   - the literal-indexed value array agrees with the per-variable one;
 //   - the BerkMin decider's pick order picks exactly what the paper's
 //     scan picks.
 func checkInvariants(t testing.TB, s *Solver) {
@@ -109,6 +110,7 @@ func checkInvariants(t testing.TB, s *Solver) {
 			s.stats.BinClauses, binEntries, 2*s.stats.BinClauses)
 	}
 
+	checkVals(t, s)
 	for v := 1; v <= s.nVars; v++ {
 		if s.assigns[v] == lUndef {
 			continue
@@ -130,6 +132,117 @@ func checkInvariants(t testing.TB, s *Solver) {
 		if got, want := orderPick(d), scanPick(d); got != want {
 			t.Fatalf("invariant: the pick order picks %v, the scan %v", got, want)
 		}
+	}
+}
+
+// checkVals asserts that the literal-indexed value array matches the
+// per-variable assignment: vals[x] is assigns[x], vals[¬x] its negation,
+// and the two slots below variable 1 stay unassigned.
+func checkVals(t testing.TB, s *Solver) {
+	t.Helper()
+	if len(s.vals) != 2*len(s.assigns) || (s.nVars > 0 && len(s.assigns) != s.nVars+1) {
+		t.Fatalf("invariant: %d literal values for %d variable values (%d variables)",
+			len(s.vals), len(s.assigns), s.nVars)
+	}
+	for l := range s.vals {
+		want := s.assigns[cnf.Lit(l).Var()]
+		if cnf.Lit(l).Neg() {
+			want = -want
+		}
+		if l < 2 {
+			want = lUndef
+		}
+		if s.vals[l] != want {
+			t.Fatalf("invariant: vals[%v] = %d, assigns says %d", cnf.Lit(l), s.vals[l], want)
+		}
+	}
+}
+
+// TestValsTrackAssigns drives every site that writes an assignment —
+// enqueue (decisions and long-clause implications), enqueueBin (binary
+// implications and direct calls), cancelUntil — and every operation that
+// copies or grows the value arrays — Reset, Clone, ClonePruned and
+// NewGroup — checking the literal-indexed array after each.
+func TestValsTrackAssigns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for run := 0; run < 20; run++ {
+		const n = 40
+		f := cnf.New(n)
+		for j := 0; j < 150; j++ {
+			var c cnf.Clause
+			for k := 0; k < 2+rng.Intn(3); k++ {
+				c = append(c, cnf.MkLit(cnf.Var(rng.Intn(n)+1), rng.Intn(2) == 0))
+			}
+			f.Add(c)
+		}
+		s := New(DefaultOptions())
+		s.AddFormula(f)
+		checkVals(t, s)
+		if !s.ok {
+			continue
+		}
+		freeLit := func() cnf.Lit {
+			for tries := 0; tries < 4*n; tries++ {
+				l := cnf.MkLit(cnf.Var(rng.Intn(s.nVars)+1), rng.Intn(2) == 0)
+				if s.value(l) == lUndef {
+					return l
+				}
+			}
+			return cnf.LitUndef
+		}
+		for step := 0; step < 200 && s.ok; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4: // decide and propagate (enqueue, enqueueBin)
+				l := freeLit()
+				if l == cnf.LitUndef {
+					s.cancelUntil(0)
+					break
+				}
+				s.newDecisionLevel()
+				s.enqueue(l, refUndef)
+				if s.propagate() != refUndef {
+					checkVals(t, s)
+					s.cancelUntil(s.decisionLevel() - 1)
+				}
+			case op < 5: // a direct binary implication under a decision
+				l := freeLit()
+				if l == cnf.LitUndef {
+					break
+				}
+				s.newDecisionLevel()
+				s.enqueue(l, refUndef)
+				if m := freeLit(); m != cnf.LitUndef {
+					s.enqueueBin(m, l.Not())
+				}
+			case op < 7:
+				s.cancelUntil(rng.Intn(s.decisionLevel() + 1))
+			case op < 8:
+				s.cancelUntil(0)
+				c := s.Clone()
+				checkVals(t, c)
+				s = c
+				if rng.Intn(2) == 0 {
+					c := s.ClonePruned(rng.Intn(3))
+					checkVals(t, c)
+					s = c
+				}
+			case op < 9:
+				s.Reset()
+			default:
+				s.cancelUntil(0)
+				s.NewGroup()
+			}
+			checkVals(t, s)
+		}
+		// A short search from wherever the walk ended: learnt clauses for
+		// ClonePruned to prune, and a live solver to copy mid-stream.
+		s.cancelUntil(0)
+		s.opt.MaxConflicts = 30
+		s.Solve()
+		checkVals(t, s)
+		checkVals(t, s.ClonePruned(2))
+		s.Reset()
+		checkVals(t, s)
 	}
 }
 

@@ -166,6 +166,7 @@ func (s *Solver) Clone() *Solver {
 		binOcc:     cloneLists(s.binOcc),
 
 		assigns:   append([]lbool(nil), s.assigns...),
+		vals:      append([]lbool(nil), s.vals...),
 		vlevel:    append([]int32(nil), s.vlevel...),
 		reason:    append([]clauseRef(nil), s.reason...),
 		binReason: append([]cnf.Lit(nil), s.binReason...),

@@ -120,6 +120,7 @@ type Solver struct {
 	learnts []clauseRef // conflict-clause stack, index = age, top = end
 
 	assigns   []lbool     // per variable
+	vals      []lbool     // per literal: vals[l] == value(l), kept in step with assigns
 	vlevel    []int32     // per variable: decision level of its assignment
 	reason    []clauseRef // per variable: antecedent clause (refUndef for decisions, refBin for binary implications)
 	binReason []cnf.Lit   // per variable: the implying (false) literal when reason is refBin
@@ -266,6 +267,7 @@ func (s *Solver) ensureVars(n int) {
 		s.glueSeen = append(s.glueSeen, 0)
 	}
 	for len(s.watches) <= 2*n+1 {
+		s.vals = append(s.vals, lUndef)
 		s.watches = append(s.watches, nil)
 		s.binWatches = append(s.binWatches, nil)
 		s.binOcc = append(s.binOcc, nil)
@@ -273,16 +275,19 @@ func (s *Solver) ensureVars(n int) {
 	s.dec.rebuild(n)
 }
 
-// value returns the literal's current three-valued truth value.
-func (s *Solver) value(l cnf.Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
+// value returns the literal's current three-valued truth value: one load
+// from the literal-indexed array, with no branch on the sign.
+func (s *Solver) value(l cnf.Lit) lbool { return s.vals[l] }
+
+// assign makes l true in both value arrays.
+func (s *Solver) assign(l cnf.Lit) {
 	if l.Neg() {
-		return -a
+		s.assigns[l.Var()] = lFalse
+	} else {
+		s.assigns[l.Var()] = lTrue
 	}
-	return a
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -383,11 +388,7 @@ func (s *Solver) enqueue(l cnf.Lit, from clauseRef) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.assign(l)
 	s.vlevel[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -404,11 +405,7 @@ func (s *Solver) enqueue(l cnf.Lit, from clauseRef) bool {
 // lUndef (the binary propagation loop and record do).
 func (s *Solver) enqueueBin(l, from cnf.Lit) {
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.assign(l)
 	s.vlevel[v] = int32(s.decisionLevel())
 	s.reason[v] = refBin
 	s.binReason[v] = from
@@ -435,11 +432,14 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
+		l := s.trail[i]
+		v := l.Var()
 		if s.opt.PhaseSaving && !s.noPhaseSave {
 			s.phase[v] = s.assigns[v]
 		}
 		s.assigns[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = refUndef
 		s.dec.onUnassign(v)
 	}

@@ -13,6 +13,7 @@ package simplify
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -126,6 +127,20 @@ type simplifier struct {
 	polls   uint
 
 	lineBuf []byte // reusable DRUP line buffer (drup.AppendLine)
+
+	// Elimination scratch, reused across candidate variables: the live
+	// occurrences of x and ¬x, their literals under the current assignment
+	// (slices of one buffer; nil marks a satisfied clause), and the
+	// per-literal stamps that test resolvents for tautology.
+	posOcc, negOcc []*workClause
+	curBuf         []cnf.Lit
+	cur            []cnf.Clause
+	mark           []uint32
+	stamp          uint32
+
+	// debugElim, when set, observes each candidate variable the growth
+	// bound is about to be checked for (test hook).
+	debugElim func(v cnf.Var, pos, neg []*workClause)
 }
 
 // outOfBudget polls the configured deadline/stop hook (rate-limited: the
@@ -209,6 +224,12 @@ func Run(f *cnf.Formula, opt Options, budget time.Duration, stop func() bool) (o
 
 // Simplify preprocesses the formula. The input is not modified.
 func Simplify(f *cnf.Formula, opt Options) *Outcome {
+	return newSimplifier(f.NumVars, opt).run(f)
+}
+
+// newSimplifier fills in the option defaults and sizes the per-variable
+// and per-literal arrays.
+func newSimplifier(nVars int, opt Options) *simplifier {
 	if opt.MaxOccurrences <= 0 {
 		opt.MaxOccurrences = 16
 	}
@@ -218,14 +239,20 @@ func Simplify(f *cnf.Formula, opt Options) *Outcome {
 	if opt.MaxSubsumeOcc <= 0 {
 		opt.MaxSubsumeOcc = 1000
 	}
-	s := &simplifier{
+	return &simplifier{
 		opt:    opt,
-		nVars:  f.NumVars,
-		occ:    make([][]*workClause, 2*f.NumVars+2),
-		assign: make([]int8, f.NumVars+1),
+		nVars:  nVars,
+		occ:    make([][]*workClause, 2*nVars+2),
+		assign: make([]int8, nVars+1),
+		mark:   make([]uint32, 2*nVars+2),
 		out:    &Outcome{},
 		proof:  opt.Proof,
 	}
+}
+
+// run loads f, simplifies to a fixpoint and emits the outcome.
+func (s *simplifier) run(f *cnf.Formula) *Outcome {
+	opt := s.opt
 	for _, c := range f.Clauses {
 		norm, taut := c.Clone().Normalize()
 		if taut {
@@ -499,8 +526,9 @@ func (s *simplifier) eliminationPass() bool {
 		if s.assign[v] != 0 {
 			continue
 		}
-		pos := s.liveOcc(cnf.PosLit(v))
-		neg := s.liveOcc(cnf.NegLit(v))
+		s.posOcc = s.liveOcc(s.posOcc, cnf.PosLit(v))
+		s.negOcc = s.liveOcc(s.negOcc, cnf.NegLit(v))
+		pos, neg := s.posOcc, s.negOcc
 		if len(pos) == 0 && len(neg) == 0 {
 			continue
 		}
@@ -532,35 +560,24 @@ func (s *simplifier) eliminationPass() bool {
 		if len(pos)+len(neg) > s.opt.MaxOccurrences {
 			continue
 		}
-		// Build all non-tautological resolvents.
-		var resolvents []cnf.Clause
-		ok := true
-		for _, p := range pos {
-			for _, n := range neg {
-				r, taut := resolve(s.currentLits(p), s.currentLits(n), v)
-				if taut {
-					continue
-				}
-				if r == nil {
-					ok = false // a clause was satisfied-under-assignment; postpone
-					break
-				}
-				if len(r) == 0 {
-					// Empty resolvent: the formula is unsatisfiable.
-					// Queue the contradiction; the caller's propagation
-					// turns it into the UNSAT outcome.
-					s.queue = append(s.queue, cnf.PosLit(v), cnf.NegLit(v))
-					return true
-				}
-				resolvents = append(resolvents, r)
-			}
-			if !ok {
-				break
-			}
+		if s.debugElim != nil {
+			s.debugElim(v, pos, neg)
 		}
-		if !ok || len(resolvents) > len(pos)+len(neg)+s.opt.MaxGrowth {
+		cur := s.currentOcc(pos, neg)
+		curPos, curNeg := cur[:len(pos)], cur[len(pos):]
+		bound := len(pos) + len(neg) + s.opt.MaxGrowth
+		n, stop := s.countResolvents(v, curPos, curNeg, bound)
+		if stop == stopEmpty {
+			// Empty resolvent: the formula is unsatisfiable. Queue the
+			// contradiction; the caller's propagation turns it into the
+			// UNSAT outcome.
+			s.queue = append(s.queue, cnf.PosLit(v), cnf.NegLit(v))
+			return true
+		}
+		if stop == stopSatisfied || n > bound {
 			continue
 		}
+		resolvents := s.buildResolvents(v, curPos, curNeg, n)
 		// Log every resolvent BEFORE the parent clauses leave the
 		// database: each is RUP only while its parents are live.
 		for _, r := range resolvents {
@@ -569,13 +586,18 @@ func (s *simplifier) eliminationPass() bool {
 		// Record the original clauses for model reconstruction, then swap.
 		// As in the pure-literal case, no deletion lines: Restore may
 		// re-add these clauses to the solver under incremental use, and a
-		// clause a checker retains can never break a later RUP step.
-		elim := Elim{V: v}
-		for _, c := range append(append([]*workClause{}, pos...), neg...) {
-			lits := s.currentLits(c)
-			if lits != nil {
-				elim.Clauses = append(elim.Clauses, lits)
-			}
+		// clause a checker retains can never break a later RUP step. No
+		// clause is satisfied here (countResolvents would have stopped).
+		elim := Elim{V: v, Clauses: make([]cnf.Clause, len(cur))}
+		slab := make([]cnf.Lit, 0, len(s.curBuf))
+		for i, lits := range cur {
+			slab = append(slab, lits...)
+			elim.Clauses[i] = slab[len(slab)-len(lits) : len(slab) : len(slab)]
+		}
+		for _, c := range pos {
+			c.deleted = true
+		}
+		for _, c := range neg {
 			c.deleted = true
 		}
 		s.out.Elims = append(s.out.Elims, elim)
@@ -592,50 +614,147 @@ func (s *simplifier) eliminationPass() bool {
 	return changed
 }
 
-func (s *simplifier) liveOcc(l cnf.Lit) []*workClause {
-	var out []*workClause
+// liveOcc fills buf with the live clauses that still contain l.
+func (s *simplifier) liveOcc(buf []*workClause, l cnf.Lit) []*workClause {
+	buf = buf[:0]
 	for _, c := range s.occ[l] {
 		if c.deleted {
 			continue
 		}
 		// Strengthening may have removed l; occurrence lists are lazy.
-		has := false
-		for _, x := range c.lits {
-			if x == l {
-				has = true
-				break
+		if cnf.Clause(c.lits).Has(l) {
+			buf = append(buf, c)
+		}
+	}
+	return buf
+}
+
+// currentOcc returns the literals of pos and then neg under the current
+// assignment (nil for a satisfied clause), as slices of one reused buffer:
+// computed once per candidate, for counting, building and recording.
+func (s *simplifier) currentOcc(pos, neg []*workClause) []cnf.Clause {
+	total := 0
+	for _, c := range pos {
+		total += len(c.lits)
+	}
+	for _, c := range neg {
+		total += len(c.lits)
+	}
+	// Sized up front so no append below moves the slices handed out.
+	buf := slices.Grow(s.curBuf[:0], total)
+	cur := s.cur[:0]
+	for _, occ := range [2][]*workClause{pos, neg} {
+		for _, c := range occ {
+			start := len(buf)
+			sat := false
+			for _, l := range c.lits {
+				if x := s.val(l); x == 1 {
+					sat = true
+					break
+				} else if x == 0 {
+					buf = append(buf, l)
+				}
+			}
+			if sat {
+				buf = buf[:start]
+				cur = append(cur, nil)
+				continue
+			}
+			cur = append(cur, buf[start:len(buf):len(buf)])
+		}
+	}
+	s.curBuf, s.cur = buf, cur
+	return cur
+}
+
+// resolveStop is why countResolvents stopped before visiting every pair.
+type resolveStop uint8
+
+const (
+	stopNone      resolveStop = iota
+	stopSatisfied             // a clause is satisfied: postpone the variable
+	stopEmpty                 // a pair resolves to the empty clause
+)
+
+// countResolvents counts the non-tautological resolvents on v of the
+// clauses pos (holding v) and neg (holding ¬v) without building any. Pairs
+// are visited in row order, and a satisfied clause (nil) or a pair whose
+// resolvent is empty stops the count at the first pair it touches. Once
+// the count passes limit the rest is only scanned for those two stops, so
+// n is exact up to limit+1.
+func (s *simplifier) countResolvents(v cnf.Var, pos, neg []cnf.Clause, limit int) (n int, stop resolveStop) {
+	for _, a := range pos {
+		if a == nil {
+			return n, stopSatisfied
+		}
+		s.markSide(a, v)
+		for _, b := range neg {
+			if b == nil {
+				return n, stopSatisfied
+			}
+			if len(a) == 1 && len(b) == 1 {
+				return n, stopEmpty // (v) and (¬v)
+			}
+			if n <= limit && !s.clashes(b) {
+				n++
 			}
 		}
-		if has {
-			out = append(out, c)
+	}
+	return n, stopNone
+}
+
+// buildResolvents returns the n non-tautological resolvents of pos and
+// neg on v, normalized, in countResolvents' pair order. The caller has
+// established that no clause is satisfied and no resolvent is empty.
+func (s *simplifier) buildResolvents(v cnf.Var, pos, neg []cnf.Clause, n int) []cnf.Clause {
+	out := make([]cnf.Clause, 0, n)
+	for _, a := range pos {
+		s.markSide(a, v)
+		for _, b := range neg {
+			if s.clashes(b) {
+				continue
+			}
+			r := make(cnf.Clause, 0, len(a)+len(b)-2)
+			for _, l := range a {
+				if l.Var() != v {
+					r = append(r, l)
+				}
+			}
+			for _, l := range b {
+				if l.Var() != v {
+					r = append(r, l)
+				}
+			}
+			r, _ = r.Normalize()
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// resolve computes the resolvent of a and b on v. Returns (nil, false)
-// when either side is satisfied/absent, (resolvent, false) normally, or
-// (_, true) for a tautological resolvent.
-func resolve(a, b cnf.Clause, v cnf.Var) (cnf.Clause, bool) {
-	if a == nil || b == nil {
-		return nil, false
+// markSide stamps every literal of a except v's.
+func (s *simplifier) markSide(a cnf.Clause, v cnf.Var) {
+	if s.stamp++; s.stamp == 0 {
+		clear(s.mark)
+		s.stamp = 1
 	}
-	out := make(cnf.Clause, 0, len(a)+len(b)-2)
 	for _, l := range a {
 		if l.Var() != v {
-			out = append(out, l)
+			s.mark[l] = s.stamp
 		}
 	}
+}
+
+// clashes reports whether b holds the complement of a literal stamped by
+// the last markSide, i.e. whether resolving the marked clause with b on the
+// pivot gives a tautology (the pivot's own literal is never stamped).
+func (s *simplifier) clashes(b cnf.Clause) bool {
 	for _, l := range b {
-		if l.Var() != v {
-			out = append(out, l)
+		if s.mark[l.Not()] == s.stamp {
+			return true
 		}
 	}
-	norm, taut := out.Normalize()
-	if taut {
-		return nil, true
-	}
-	return norm, false
+	return false
 }
 
 // Extend completes a model of the simplified formula into a model of the
